@@ -18,7 +18,7 @@ namespace {
 ess::SimTime timed_run(ess::core::Study& study, ess::driver::TraceLevel lvl) {
   using namespace ess;
   kernel::NodeKernel node(study.config().node);
-  const auto& trace = study.artifacts().ppm.trace;
+  const auto& trace = study.artifacts(core::AppKind::kPpm).ppm.trace;
   node.stage_input_file("/bin/" + trace.app_name, trace.image_bytes);
   node.warm_file("/bin/" + trace.app_name, trace.image_warm_fraction);
   node.fsys().sync();
@@ -35,7 +35,7 @@ ess::SimTime timed_run(ess::core::Study& study, ess::driver::TraceLevel lvl) {
 int main() {
   using namespace ess;
   core::Study study(bench::study_config());
-  study.artifacts();
+  study.artifacts(core::AppKind::kPpm);
 
   const SimTime off = timed_run(study, driver::TraceLevel::kOff);
   const SimTime standard = timed_run(study, driver::TraceLevel::kStandard);

@@ -20,7 +20,7 @@ int main() {
   const auto s_real = analysis::summarize(real.trace);
 
   // Distill: duration, read fraction of explicit I/O, memory pressure.
-  const auto& art = study.artifacts();
+  const auto& art = study.artifacts(core::AppKind::kWavelet);
   workload::SyntheticSpec spec;
   spec.name = "wavelet-synthetic";
   spec.duration = art.wavelet.modelled_compute;

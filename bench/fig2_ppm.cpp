@@ -20,7 +20,7 @@ int main() {
   std::printf("%s\n", analysis::render_size_classes(s).c_str());
   analysis::write_size_series_csv(r.trace, bench::out_dir() + "/fig2_ppm.csv");
 
-  const auto& art = study.artifacts();
+  const auto& art = study.artifacts(core::AppKind::kPpm);
   // Domain (nx*dx) x (ny*dy) = 1 x 2 at unit density: exact mass is 2.
   std::printf("Solver run: %d steps, mass drift %.2e, peak density %.2f\n",
               study.config().ppm.steps, std::abs(art.ppm.final_mass - 2.0),

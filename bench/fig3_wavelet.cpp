@@ -38,7 +38,7 @@ int main() {
   const auto phases = analysis::detect_phases(r.trace, sec(20));
   std::printf("%s\n", analysis::render_phases(phases).c_str());
 
-  const auto& art = study.artifacts();
+  const auto& art = study.artifacts(core::AppKind::kWavelet);
   std::printf("Registration found shift (%d, %d); D4 compression ratio %.2f\n",
               art.wavelet.best_shift_row, art.wavelet.best_shift_col,
               art.wavelet.compression_ratio);

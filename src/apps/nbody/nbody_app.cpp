@@ -7,11 +7,25 @@
 
 namespace ess::apps::nbody {
 
-NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
-                         Rng& rng) {
+NBodyProfile numerics(const NBodyNumerics& cfg) {
   NBodySim sim(cfg.bodies, cfg.seed);
   const Vec3 p0 = sim.stats().momentum;
 
+  NBodyProfile p;
+  p.step_interactions.reserve(static_cast<std::size_t>(cfg.steps));
+  for (int s = 0; s < cfg.steps; ++s) {
+    p.step_interactions.push_back(sim.step(cfg.dt, cfg.theta, cfg.softening));
+  }
+  const SystemStats st = sim.stats();
+  p.total_interactions = sim.total_interactions();
+  p.final_kinetic = st.kinetic;
+  const Vec3 drift = st.momentum - p0;
+  p.momentum_drift = std::sqrt(drift.norm2());
+  return p;
+}
+
+NBodyRunResult assemble(const NBodyConfig& cfg, const NBodyProfile& profile,
+                        double cpu_mflops, Rng& rng) {
   workload::OpTraceBuilder b("nbody");
   b.set_image_bytes(cfg.image_bytes);
   b.set_image_warm_fraction(cfg.image_warm_fraction);
@@ -34,8 +48,9 @@ NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
 
   NBodyRunResult result;
   const std::uint64_t anon_pages = anon / 4096;
-  for (int s = 0; s < cfg.steps; ++s) {
-    const std::uint64_t inter = sim.step(cfg.dt, cfg.theta, cfg.softening);
+  int done = 0;  // steps completed
+  for (const std::uint64_t inter : profile.step_interactions) {
+    ++done;
     // Tree build ~ 60 flops/body-level, force evaluation dominated by the
     // interaction count.
     const double step_flops =
@@ -51,7 +66,7 @@ NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
                                /*slices=*/6, /*pages_per_slice=*/20,
                                /*write_fraction=*/0.45, rng);
 
-    if ((s + 1) % cfg.checkpoint_every == 0) {
+    if (done % cfg.checkpoint_every == 0) {
       // ~2 KB of per-step diagnostics: energy, momentum, tree stats —
       // the source of the paper's 2 KB request class for this code.
       b.append(out, 2048);
@@ -59,17 +74,20 @@ NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
     }
   }
 
-  const SystemStats st = sim.stats();
-  result.total_interactions = sim.total_interactions();
-  result.final_kinetic = st.kinetic;
-  const Vec3 drift = st.momentum - p0;
-  result.momentum_drift = std::sqrt(drift.norm2());
+  result.total_interactions = profile.total_interactions;
+  result.final_kinetic = profile.final_kinetic;
+  result.momentum_drift = profile.momentum_drift;
 
   // Final particle snapshot summary (~16 KB: positions of a subsample).
   b.append(out, 16 * 1024);
   result.trace = std::move(b).build();
   result.modelled_compute = result.trace.total_compute();
   return result;
+}
+
+NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops,
+                         Rng& rng) {
+  return assemble(cfg, numerics(cfg), cpu_mflops, rng);
 }
 
 }  // namespace ess::apps::nbody

@@ -9,20 +9,28 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/op.hpp"
 
 namespace ess::apps::nbody {
 
-struct NBodyConfig {
+/// The inputs of the simulation run. Configs with equal numerics share one
+/// phase-A profile; the rest of NBodyConfig only shapes the trace.
+struct NBodyNumerics {
   int bodies = 8192;
   int steps = 60;
   double dt = 0.01;
   double theta = 0.6;
   double softening = 0.05;
-  int checkpoint_every = 4;     // steps between ~2 KB statistics appends
   std::uint64_t seed = 7;
+
+  bool operator==(const NBodyNumerics&) const = default;
+};
+
+struct NBodyConfig : NBodyNumerics {
+  int checkpoint_every = 4;     // steps between ~2 KB statistics appends
   std::uint64_t image_bytes = 896 * 1024;
   double image_warm_fraction = 0.85;
   /// Heap beyond bodies + double-buffered tree arenas: sort scratch and
@@ -42,6 +50,22 @@ struct NBodyRunResult {
   workload::OpTrace trace;
 };
 
+/// What the simulation run leaves for trace assembly.
+struct NBodyProfile {
+  std::vector<std::uint64_t> step_interactions;  // force pairs per step
+  std::uint64_t total_interactions = 0;
+  double final_kinetic = 0;
+  double momentum_drift = 0;
+};
+
+/// Phase A: run the tree code for cfg.steps. Pure: no Rng, no CPU model.
+NBodyProfile numerics(const NBodyNumerics& cfg);
+
+/// Phase B: build the workload trace from a profile (cheap).
+NBodyRunResult assemble(const NBodyConfig& cfg, const NBodyProfile& profile,
+                        double cpu_mflops, Rng& rng);
+
+/// assemble(cfg, numerics(cfg), cpu_mflops, rng).
 NBodyRunResult run_nbody(const NBodyConfig& cfg, double cpu_mflops, Rng& rng);
 
 }  // namespace ess::apps::nbody

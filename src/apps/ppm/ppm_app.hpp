@@ -1,5 +1,5 @@
-// The PPM application workload: runs the real solver (phase A) and records
-// the OpTrace the kernel will execute (phase B).
+// The PPM application workload: runs the real solver (phase A, numerics())
+// and records the OpTrace the kernel will execute (phase B, assemble()).
 //
 // Paper behaviour to reproduce (Fig. 2, Table 1): very low I/O, almost all
 // 1 KB requests, a single 4 KB paging event near the end of the ~250 s run,
@@ -9,17 +9,25 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/op.hpp"
 
 namespace ess::apps::ppm {
 
-struct PpmConfig {
+/// The inputs of the solver run. Configs with equal numerics share one
+/// phase-A profile; the rest of PpmConfig only shapes the trace.
+struct PpmNumerics {
   int nx = 240;
   int ny = 480;      // "four 240x480 grids": 4 conserved fields on 240x480
   int steps = 60;    // sized so the modelled run is ~250 s on the DX4
   double cfl = 0.4;
+
+  bool operator==(const PpmNumerics&) const = default;
+};
+
+struct PpmConfig : PpmNumerics {
   int summary_every = 10;           // steps between statistics appends
   /// 0 disables checkpointing (the paper's configuration). When set, the
   /// solver dumps its full conserved-variable state every N steps — the
@@ -42,8 +50,24 @@ struct PpmRunResult {
   workload::OpTrace trace;
 };
 
-/// Run the solver for cfg.steps and build the workload trace.
-/// `cpu_mflops` converts counted work to DX4 time.
+/// What the solver run leaves for trace assembly.
+struct PpmProfile {
+  std::vector<std::uint64_t> step_flops;  // counted work of each step
+  std::uint64_t memory_bytes = 0;         // the solver's arrays
+  double final_mass = 0;
+  double final_energy = 0;
+  double max_density = 0;
+};
+
+/// Phase A: run the solver for cfg.steps. Pure: no Rng, no CPU model.
+PpmProfile numerics(const PpmNumerics& cfg);
+
+/// Phase B: build the workload trace from a profile (cheap). `cpu_mflops`
+/// converts counted work to DX4 time; `rng` samples the working set.
+PpmRunResult assemble(const PpmConfig& cfg, const PpmProfile& profile,
+                      double cpu_mflops, Rng& rng);
+
+/// assemble(cfg, numerics(cfg), cpu_mflops, rng).
 PpmRunResult run_ppm(const PpmConfig& cfg, double cpu_mflops, Rng& rng);
 
 }  // namespace ess::apps::ppm

@@ -31,14 +31,22 @@ double correlate(const Plane& a, const Plane& b, int m, int dr, int dc,
   return sum;
 }
 
+/// Side of the coarse, mid and fine registration blocks.
+struct SearchBlocks {
+  int coarse_m, mid_m, fine_m;
+};
+
+SearchBlocks search_blocks(const WaveletNumerics& cfg) {
+  return {cfg.image_size >> (cfg.levels - 2), cfg.image_size >> 2,
+          cfg.image_size};
+}
+
 }  // namespace
 
-WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
-                             Rng& rng) {
-  WaveletRunResult result;
+WaveletProfile numerics(const WaveletNumerics& cfg) {
+  WaveletProfile result;
   std::uint64_t flops = 0;
 
-  // ---- phase A: the real numerics ----
   Plane scene = synthetic_scene(cfg.image_size, cfg.seed);
   result.input_energy = energy(scene);
   flops += scene.data().size() * 2;
@@ -57,9 +65,7 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
   // Pyramid registration against a batch of reference scenes: the same
   // terrain shifted by a known offset, decomposed, then located by a
   // coarse-to-fine shift search over the approximation subbands.
-  const int coarse_m = cfg.image_size >> (cfg.levels - 2);
-  const int mid_m = cfg.image_size >> 2;
-  const int fine_m = cfg.image_size;
+  const auto [coarse_m, mid_m, fine_m] = search_blocks(cfg);
   int best_r = 0, best_c = 0;
   for (int ref = 0; ref < cfg.reference_count; ++ref) {
     const int n = cfg.image_size;
@@ -103,10 +109,17 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
       compress_roundtrip(scene, cfg.levels, /*step=*/8.0);
   result.bits_per_pixel = comp.bits_per_pixel;
   result.psnr_db = comp.psnr_db;
+  result.payload_bytes = comp.payload_bytes;
   flops += scene.data().size() * 40;  // quantize + entropy-code model
   result.native_flops = flops;
+  return result;
+}
 
-  // ---- phase B: the workload trace ----
+WaveletRunResult assemble(const WaveletConfig& cfg,
+                          const WaveletProfile& profile, double cpu_mflops,
+                          Rng& rng) {
+  WaveletRunResult result{profile, /*modelled_compute=*/0, /*trace=*/{}};
+  const auto [coarse_m, mid_m, fine_m] = search_blocks(cfg);
   workload::OpTraceBuilder b("wavelet");
   b.set_image_bytes(cfg.image_bytes);
   b.set_image_warm_fraction(cfg.image_warm_fraction);
@@ -180,7 +193,7 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
   // tail activity). The compressed payload for both filter banks plus a
   // lossless residual band, sized from the measured bitrate.
   const std::uint64_t out_bytes =
-      std::max<std::uint64_t>(comp.payload_bytes * 6, plane_bytes / 4);
+      std::max<std::uint64_t>(profile.payload_bytes * 6, plane_bytes / 4);
   b.compute_with_working_set(to_time(static_cast<double>(plane_bytes)),
                              scene_first, plane_pages, 8, 32, 0.3, rng);
   for (std::uint64_t off = 0; off < out_bytes; off += 16 * 1024) {
@@ -194,6 +207,11 @@ WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
   result.trace = std::move(b).build();
   result.modelled_compute = result.trace.total_compute();
   return result;
+}
+
+WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
+                             Rng& rng) {
+  return assemble(cfg, numerics(cfg), cpu_mflops, rng);
 }
 
 }  // namespace ess::apps::wavelet

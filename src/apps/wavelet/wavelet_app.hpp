@@ -16,17 +16,13 @@
 
 namespace ess::apps::wavelet {
 
-struct WaveletConfig {
+/// The inputs of the decomposition, registration and compression runs.
+/// Configs with equal numerics share one phase-A profile; the rest of
+/// WaveletConfig only shapes the trace.
+struct WaveletNumerics {
   int image_size = 512;     // 512x512-byte scene, as in the paper
   int levels = 5;
   std::uint64_t seed = 42;
-  std::uint64_t image_bytes = 4 * 1024 * 1024;  // large program image
-  double image_warm_fraction = 0.35;  // larger than the cache: mostly cold
-  double model_flops_per_flop = 8.0;  // DX4 cost of one counted flop
-  std::string input_path = "/data/landsat.img";
-  std::uint64_t input_goal_block = 75'000;
-  std::string output_path = "/data/wavelet.coef";
-  std::uint64_t read_chunk = 8 * 1024;  // app-level read buffer
   // Registration search: shift grids per pyramid level (coarse -> fine),
   // repeated for several reference scenes (a registration batch, as the
   // Goddard imagery pipeline processed).
@@ -34,9 +30,23 @@ struct WaveletConfig {
   int search_mid = 32;
   int search_fine = 16;
   int reference_count = 3;
+
+  bool operator==(const WaveletNumerics&) const = default;
 };
 
-struct WaveletRunResult {
+struct WaveletConfig : WaveletNumerics {
+  std::uint64_t image_bytes = 4 * 1024 * 1024;  // large program image
+  double image_warm_fraction = 0.35;  // larger than the cache: mostly cold
+  double model_flops_per_flop = 8.0;  // DX4 cost of one counted flop
+  std::string input_path = "/data/landsat.img";
+  std::uint64_t input_goal_block = 75'000;
+  std::string output_path = "/data/wavelet.coef";
+  std::uint64_t read_chunk = 8 * 1024;  // app-level read buffer
+};
+
+/// What the numerics leave for trace assembly: the result scalars, the
+/// counted work and the compressed payload that sizes the output file.
+struct WaveletProfile {
   double input_energy = 0;
   double haar_energy = 0;       // energy after Haar decomposition
   double d4_energy = 0;         // energy after D4 decomposition
@@ -46,10 +56,23 @@ struct WaveletRunResult {
   int best_shift_row = 0;
   int best_shift_col = 0;
   std::uint64_t native_flops = 0;
+  std::uint64_t payload_bytes = 0;  // quantized + Huffman-coded scene
+};
+
+struct WaveletRunResult : WaveletProfile {
   SimTime modelled_compute = 0;
   workload::OpTrace trace;
 };
 
+/// Phase A: decompose, register and compress. Pure: no Rng, no CPU model.
+WaveletProfile numerics(const WaveletNumerics& cfg);
+
+/// Phase B: build the workload trace from a profile (cheap).
+WaveletRunResult assemble(const WaveletConfig& cfg,
+                          const WaveletProfile& profile, double cpu_mflops,
+                          Rng& rng);
+
+/// assemble(cfg, numerics(cfg), cpu_mflops, rng).
 WaveletRunResult run_wavelet(const WaveletConfig& cfg, double cpu_mflops,
                              Rng& rng);
 

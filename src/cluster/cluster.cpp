@@ -49,6 +49,9 @@ ClusterRunResult Cluster::run_on_all(
   ClusterRunResult out;
   std::vector<analysis::TraceSummary> summaries;
   out.merged = trace::TraceSet(name, -1);
+  // Numerics are keyed by app config, not by the per-node seed: every
+  // node shares one phase A and only assembles its own traces.
+  core::PhaseAStore store;
 
   for (int n = 0; n < cfg_.nodes; ++n) {
     core::StudyConfig sc = cfg_.study;
@@ -61,7 +64,7 @@ ClusterRunResult Cluster::run_on_all(
       sc.settle_time += net_.barrier_time(cfg_.nodes) +
                         static_cast<SimTime>(n) * usec(500);
     }
-    core::Study study(sc);
+    core::Study study(sc, &store);
     core::RunResult r = runner(study);
     summaries.push_back(analysis::summarize(r.trace));
     out.merged.merge(r.trace);

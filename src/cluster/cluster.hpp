@@ -2,8 +2,8 @@
 //
 // The paper reports per-disk averages across the Beowulf's 16 subsystems.
 // Each node runs the same experiment with its own RNG stream (per-node
-// jitter in daemon timing and workload sampling); the runner aggregates the
-// per-node traces and summaries.
+// jitter in daemon timing and workload sampling) over one shared phase A;
+// the runner aggregates the per-node traces and summaries.
 #pragma once
 
 #include <functional>

@@ -62,23 +62,48 @@ std::string to_string(AppKind k) {
   return "?";
 }
 
-Study::Study(StudyConfig cfg) : cfg_(std::move(cfg)) {}
+Study::Study(StudyConfig cfg, PhaseAStore* store)
+    : cfg_(std::move(cfg)),
+      own_store_(store ? nullptr : std::make_unique<PhaseAStore>()),
+      store_(store ? store : own_store_.get()) {}
 
-const Artifacts& Study::artifacts() {
-  if (!artifacts_) {
-    Artifacts a;
-    Rng rng(cfg_.seed);
-    const double mflops = cfg_.node.cpu_mflops;
-    a.ppm = apps::ppm::run_ppm(cfg_.ppm, mflops, rng);
-    a.wavelet = apps::wavelet::run_wavelet(cfg_.wavelet, mflops, rng);
-    a.nbody = apps::nbody::run_nbody(cfg_.nbody, mflops, rng);
-    artifacts_ = std::move(a);
+const Artifacts& Study::artifacts(AppKind last) {
+  const int want = static_cast<int>(last) + 1;
+  if (assembled_ >= want) return artifacts_;
+
+  // Claim the missing numerics most expensive first: a Study that finds
+  // one already running in another thread moves on to the next, so
+  // Studies sharing a store split the work instead of queueing on it.
+  std::shared_future<apps::nbody::NBodyProfile> nbody;
+  std::shared_future<apps::wavelet::WaveletProfile> wavelet;
+  std::shared_future<apps::ppm::PpmProfile> ppm;
+  if (want > 2) nbody = store_->nbody(cfg_.nbody);
+  if (want > 1 && assembled_ < 2) wavelet = store_->wavelet(cfg_.wavelet);
+  if (assembled_ < 1) ppm = store_->ppm(cfg_.ppm);
+
+  // Assemble in stream order, so each app's trace draws the same Rng
+  // positions however much of phase A was asked for before.
+  if (!rng_) rng_.emplace(cfg_.seed);
+  const double mflops = cfg_.node.cpu_mflops;
+  if (assembled_ < 1) {
+    artifacts_.ppm = apps::ppm::assemble(cfg_.ppm, ppm.get(), mflops, *rng_);
+    assembled_ = 1;
   }
-  return *artifacts_;
+  if (want > 1 && assembled_ < 2) {
+    artifacts_.wavelet =
+        apps::wavelet::assemble(cfg_.wavelet, wavelet.get(), mflops, *rng_);
+    assembled_ = 2;
+  }
+  if (want > 2) {
+    artifacts_.nbody =
+        apps::nbody::assemble(cfg_.nbody, nbody.get(), mflops, *rng_);
+    assembled_ = 3;
+  }
+  return artifacts_;
 }
 
 const workload::OpTrace& Study::trace_for(AppKind kind) {
-  const Artifacts& a = artifacts();
+  const Artifacts& a = artifacts(kind);
   switch (kind) {
     case AppKind::kPpm:
       return a.ppm.trace;
@@ -118,11 +143,10 @@ RunResult Study::run_combined() {
   kernel::KernelConfig node_cfg = cfg_.node;
   node_cfg.max_coalesce_blocks = cfg_.combined_coalesce_blocks;
   node_cfg.readahead_ceiling_blocks = cfg_.combined_readahead_blocks;
-  return run_custom(
-      "Combined",
-      {trace_for(AppKind::kPpm), trace_for(AppKind::kWavelet),
-       trace_for(AppKind::kNBody)},
-      0, node_cfg);
+  const Artifacts& a = artifacts();
+  return run_custom("Combined",
+                    {a.ppm.trace, a.wavelet.trace, a.nbody.trace}, 0,
+                    node_cfg);
 }
 
 RunResult Study::run_custom(const std::string& name,

@@ -19,6 +19,7 @@
 #include "apps/nbody/nbody_app.hpp"
 #include "apps/ppm/ppm_app.hpp"
 #include "apps/wavelet/wavelet_app.hpp"
+#include "core/phase_a_store.hpp"
 #include "kernel/config.hpp"
 #include "telemetry/sink.hpp"
 #include "trace/trace_set.hpp"
@@ -26,6 +27,8 @@
 
 namespace ess::core {
 
+/// The applications, in the order their trace assembly draws from the
+/// Study's Rng stream.
 enum class AppKind { kPpm, kWavelet, kNBody };
 
 std::string to_string(AppKind k);
@@ -78,10 +81,15 @@ struct Artifacts {
 
 class Study {
  public:
-  explicit Study(StudyConfig cfg);
+  /// With a `store` (which must outlive the Study), phase-A numerics are
+  /// shared with every other Study using it; without one the Study
+  /// computes its own. Traces are identical either way.
+  explicit Study(StudyConfig cfg, PhaseAStore* store = nullptr);
 
-  /// Phase A on demand; cached for all subsequent runs.
-  const Artifacts& artifacts();
+  /// Phase A on demand for the apps up to `last` in AppKind order; cached
+  /// for all subsequent runs. Apps after `last` stay default-constructed
+  /// until asked for.
+  const Artifacts& artifacts(AppKind last = AppKind::kNBody);
 
   RunResult run_baseline();
   RunResult run_single(AppKind kind);
@@ -105,7 +113,11 @@ class Study {
   const workload::OpTrace& trace_for(AppKind kind);
 
   StudyConfig cfg_;
-  std::optional<Artifacts> artifacts_;
+  std::unique_ptr<PhaseAStore> own_store_;
+  PhaseAStore* store_;
+  Artifacts artifacts_;
+  std::optional<Rng> rng_;  // the assembly stream, past the assembled apps
+  int assembled_ = 0;       // apps assembled so far, in AppKind order
 };
 
 }  // namespace ess::core

@@ -60,7 +60,7 @@ core::RunResult run_experiment(core::Study& study, Experiment e) {
 
 namespace {
 
-JobOutcome run_one(const JobSpec& spec) {
+JobOutcome run_one(const JobSpec& spec, core::PhaseAStore& store) {
   JobOutcome out;
   out.name = spec.name;
   out.esst_path = spec.esst_path;
@@ -77,7 +77,7 @@ JobOutcome run_one(const JobSpec& spec) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  core::Study study(std::move(cfg));
+  core::Study study(std::move(cfg), &store);
   out.run = spec.body ? spec.body(study)
                       : run_experiment(study, spec.experiment);
   out.wall_seconds =
@@ -95,10 +95,11 @@ JobOutcome run_one(const JobSpec& spec) {
 
 std::vector<JobOutcome> run_jobs(const std::vector<JobSpec>& specs,
                                  std::size_t workers) {
+  core::PhaseAStore store;  // phase A computed once per distinct config
   std::vector<std::function<JobOutcome()>> jobs;
   jobs.reserve(specs.size());
   for (const auto& spec : specs) {
-    jobs.emplace_back([&spec] { return run_one(spec); });
+    jobs.emplace_back([&spec, &store] { return run_one(spec, store); });
   }
   return run_ordered(std::move(jobs), workers);
 }

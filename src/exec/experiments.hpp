@@ -5,10 +5,12 @@
 // fault plan) plus which canonical experiment to run, optionally streaming
 // the drain-side record stream into an ESST capture file. run_jobs()
 // builds a fresh core::Study per job (own sim::Engine, own NodeKernel,
-// own FaultInjector, own sinks), so jobs share nothing mutable and the
-// parallel output — traces, captures, summaries — is bit-identical to a
-// serial loop over the same specs. The bench harness, the fault-matrix
-// suite, and `esstrace capture-all` all drive their matrices through this.
+// own FaultInjector, own sinks, own Rng), so the parallel output — traces,
+// captures, summaries — is bit-identical to a serial loop over the same
+// specs. The jobs of one call share a core::PhaseAStore, so each distinct
+// application config runs its phase-A numerics once per call. The bench
+// harness, the fault-matrix suite, and `esstrace capture-all` all drive
+// their matrices through this.
 #pragma once
 
 #include <cstddef>

@@ -22,27 +22,32 @@ inline constexpr std::uint64_t kAppend = ~std::uint64_t{0};
 
 struct ComputeOp {
   SimTime duration = 0;  // modelled CPU time on the 486-DX4
+  bool operator==(const ComputeOp&) const = default;
 };
 
 struct ReadOp {
   FileRef file = 0;
   std::uint64_t offset = 0;
   std::uint64_t len = 0;
+  bool operator==(const ReadOp&) const = default;
 };
 
 struct WriteOp {
   FileRef file = 0;
   std::uint64_t offset = 0;  // kAppend appends at EOF
   std::uint64_t len = 0;
+  bool operator==(const WriteOp&) const = default;
 };
 
 struct PageAccess {
   std::uint64_t vpage = 0;
   bool write = false;
+  bool operator==(const PageAccess&) const = default;
 };
 
 struct TouchOp {
   std::vector<PageAccess> pages;
+  bool operator==(const TouchOp&) const = default;
 };
 
 /// Create a scratch file (metadata-only until written through WriteOp on
@@ -51,10 +56,12 @@ struct TouchOp {
 struct ScratchCreateOp {
   std::string path;
   std::uint64_t bytes = 0;  // written immediately (write-behind)
+  bool operator==(const ScratchCreateOp&) const = default;
 };
 
 struct UnlinkOp {
   std::string path;
+  bool operator==(const UnlinkOp&) const = default;
 };
 
 // ---- message passing (PVM-style), executed via the pvm::Fabric ----
@@ -65,12 +72,14 @@ struct SendOp {
   int dst_rank = 0;
   std::uint64_t bytes = 0;
   int tag = 0;
+  bool operator==(const SendOp&) const = default;
 };
 
 /// Blocking receive (pvm_recv): src_rank -1 matches any sender.
 struct RecvOp {
   int src_rank = -1;
   int tag = 0;
+  bool operator==(const RecvOp&) const = default;
 };
 
 /// Barrier over a group of ranks (pvm_barrier). participants 0 means the
@@ -78,6 +87,7 @@ struct RecvOp {
 struct BarrierOp {
   int group = 0;
   int participants = 0;
+  bool operator==(const BarrierOp&) const = default;
 };
 
 using Op = std::variant<ComputeOp, ReadOp, WriteOp, TouchOp,
@@ -91,6 +101,7 @@ struct FileDecl {
   bool create = false;        // true: created empty at spawn (output file)
   std::uint64_t input_size = 0;  // for pre-staged inputs (bytes)
   std::uint64_t goal_block = 0;  // placement hint for staging
+  bool operator==(const FileDecl&) const = default;
 };
 
 struct OpTrace {
@@ -102,6 +113,8 @@ struct OpTrace {
   double image_warm_fraction = 1.0;
   std::vector<FileDecl> files;
   std::vector<Op> ops;
+
+  bool operator==(const OpTrace&) const = default;
 
   std::uint64_t image_pages() const { return (image_bytes + 4095) / 4096; }
   std::uint64_t anon_pages() const { return (anon_bytes + 4095) / 4096; }

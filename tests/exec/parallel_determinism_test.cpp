@@ -12,6 +12,7 @@
 #include "core/presets.hpp"
 #include "exec/experiments.hpp"
 #include "fault/fault.hpp"
+#include "telemetry/esst.hpp"
 
 namespace ess::exec {
 namespace {
@@ -86,6 +87,72 @@ TEST(ParallelDeterminism, SerialAndParallelEsstCapturesAreByteIdentical) {
     std::remove(serial[i].esst_path.c_str());
     std::remove(parallel[i].esst_path.c_str());
   }
+}
+
+// Jobs of one run_jobs call share phase-A numerics by app config. A
+// mixed matrix — two seeds, two PPM grids, one CPU-model override — must
+// still give every job the traces and capture bytes of a Study of its own.
+std::vector<JobSpec> mixed_matrix(const std::string& tag) {
+  std::vector<JobSpec> specs;
+  int cell = 0;
+  auto add = [&](std::uint64_t seed, int ppm_nx, double mflops,
+                 Experiment e) {
+    JobSpec s;
+    s.name = "cell" + std::to_string(cell++);
+    s.config = core::fast_study_config();
+    s.config.seed = seed;
+    s.config.ppm.nx = ppm_nx;
+    s.config.node.cpu_mflops = mflops;
+    s.experiment = e;
+    s.esst_path =
+        ::testing::TempDir() + "/mixed_" + tag + "_" + s.name + ".esst";
+    specs.push_back(std::move(s));
+  };
+  const double mflops = core::fast_study_config().node.cpu_mflops;
+  for (const std::uint64_t seed : {0x1996u, 0x2024u}) {
+    add(seed, 60, mflops, Experiment::kPpm);
+    add(seed, 48, mflops, Experiment::kCombined);
+    add(seed, 60, mflops, Experiment::kWavelet);
+  }
+  add(0x1996, 60, 2 * mflops, Experiment::kCombined);
+  return specs;
+}
+
+TEST(ParallelDeterminism, SharedPhaseAMatchesStandaloneStudies) {
+  const auto reference = mixed_matrix("standalone");
+  std::vector<core::RunResult> standalone;
+  for (const auto& spec : reference) {
+    telemetry::EsstMeta meta;
+    meta.experiment = spec.name;
+    meta.seed = spec.config.seed;
+    meta.ram_bytes = spec.config.node.ram_bytes;
+    telemetry::EsstFileSink sink(spec.esst_path, meta);
+    core::StudyConfig cfg = spec.config;
+    cfg.drain_sink = &sink;
+    core::Study study(cfg);
+    standalone.push_back(run_experiment(study, spec.experiment));
+  }
+
+  for (const std::size_t workers : {0u, 1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    const auto specs = mixed_matrix("w" + std::to_string(workers));
+    const auto out = run_jobs(specs, workers);
+    ASSERT_EQ(out.size(), reference.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      SCOPED_TRACE(specs[i].name);
+      ASSERT_FALSE(out[i].esst_failed) << out[i].esst_error;
+      ASSERT_GT(out[i].run.trace.size(), 0u);
+      EXPECT_TRUE(out[i].run.trace.records() ==
+                  standalone[i].trace.records());
+      EXPECT_EQ(out[i].run.events_fired, standalone[i].events_fired);
+      const auto a = slurp(reference[i].esst_path);
+      ASSERT_FALSE(a.empty());
+      EXPECT_TRUE(slurp(out[i].esst_path) == a)
+          << "ESST capture differs from the standalone Study's";
+      std::remove(out[i].esst_path.c_str());
+    }
+  }
+  for (const auto& spec : reference) std::remove(spec.esst_path.c_str());
 }
 
 TEST(ParallelDeterminism, OutcomesKeepSubmissionOrder) {
