@@ -145,16 +145,18 @@ BENCHMARK(BM_OctreeBuild)->Arg(1024)->Arg(8192);
 
 void BM_OctreeForcePass(benchmark::State& state) {
   apps::nbody::NBodySim sim(2048, 2);
+  auto bodies = sim.bodies();
   apps::nbody::Octree tree;
-  tree.build(sim.bodies());
+  tree.build(bodies);
   std::uint64_t inter = 0;
-  std::vector<int> stack;
-  int i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.acceleration(sim.bodies(), i, 0.85, 0.05, inter, stack));
-    i = (i + 1) % 2048;
+    inter = tree.accelerations(bodies, 0.85, 0.05);
+    benchmark::DoNotOptimize(inter);
+    benchmark::DoNotOptimize(bodies.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(inter));
 }
 BENCHMARK(BM_OctreeForcePass);
 

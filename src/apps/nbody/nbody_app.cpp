@@ -7,14 +7,15 @@
 
 namespace ess::apps::nbody {
 
-NBodyProfile numerics(const NBodyNumerics& cfg) {
+NBodyProfile numerics(const NBodyNumerics& cfg, util::ForkJoinBoard* board) {
   NBodySim sim(cfg.bodies, cfg.seed);
   const Vec3 p0 = sim.stats().momentum;
 
   NBodyProfile p;
   p.step_interactions.reserve(static_cast<std::size_t>(cfg.steps));
   for (int s = 0; s < cfg.steps; ++s) {
-    p.step_interactions.push_back(sim.step(cfg.dt, cfg.theta, cfg.softening));
+    p.step_interactions.push_back(
+        sim.step(cfg.dt, cfg.theta, cfg.softening, board));
   }
   const SystemStats st = sim.stats();
   p.total_interactions = sim.total_interactions();
@@ -35,7 +36,7 @@ NBodyRunResult assemble(const NBodyConfig& cfg, const NBodyProfile& profile,
   // (~2 nodes per body each) + heap slack; the slight overshoot past free
   // RAM is what produces the paper's "few page swaps" for this code.
   const std::uint64_t tree_bytes =
-      std::uint64_t{2} * cfg.bodies * sizeof(Octree::Node);
+      std::uint64_t{2} * cfg.bodies * kModelTreeNodeBytes;
   const std::uint64_t anon =
       body_bytes * 2 + tree_bytes * 2 + cfg.heap_slack_bytes;
   b.set_anon_bytes(anon);

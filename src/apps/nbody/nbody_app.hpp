@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "util/fork_join.hpp"
 #include "util/rng.hpp"
 #include "workload/op.hpp"
 
@@ -50,6 +51,11 @@ struct NBodyRunResult {
   workload::OpTrace trace;
 };
 
+/// Modelled heap bytes per tree node: the size of a build node when the
+/// memory model was calibrated. A constant, so the tree code's own layout
+/// cannot move the modelled footprint or any trace.
+inline constexpr std::uint64_t kModelTreeNodeBytes = 104;
+
 /// What the simulation run leaves for trace assembly.
 struct NBodyProfile {
   std::vector<std::uint64_t> step_interactions;  // force pairs per step
@@ -59,7 +65,10 @@ struct NBodyProfile {
 };
 
 /// Phase A: run the tree code for cfg.steps. Pure: no Rng, no CPU model.
-NBodyProfile numerics(const NBodyNumerics& cfg);
+/// With a board, each force pass is posted there for waiting threads to
+/// help with; the profile is the same either way.
+NBodyProfile numerics(const NBodyNumerics& cfg,
+                      util::ForkJoinBoard* board = nullptr);
 
 /// Phase B: build the workload trace from a profile (cheap).
 NBodyRunResult assemble(const NBodyConfig& cfg, const NBodyProfile& profile,

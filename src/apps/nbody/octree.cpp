@@ -6,11 +6,8 @@
 
 namespace ess::apps::nbody {
 
-int Octree::make_node(const Vec3& center, double half) {
-  Node n;
-  n.center = center;
-  n.half = half;
-  nodes_.push_back(n);
+int Octree::make_node() {
+  nodes_.emplace_back();
   return static_cast<int>(nodes_.size() - 1);
 }
 
@@ -31,15 +28,28 @@ void Octree::build(const std::vector<Body>& bodies) {
   const Vec3 center{(lo.x + hi.x) / 2, (lo.y + hi.y) / 2, (lo.z + hi.z) / 2};
   const double half =
       std::max({hi.x - lo.x, hi.y - lo.y, hi.z - lo.z}) / 2 + 1e-9;
-  make_node(center, half);
+  make_node();
   for (int i = 0; i < static_cast<int>(bodies.size()); ++i) {
-    insert(bodies, 0, i, 0);
+    insert(bodies, 0, center, half, i, 0);
   }
   finalize(bodies, 0);
+
+  walk_.clear();
+  walk_.reserve(nodes_.size());
+  order_.clear();
+  flatten(bodies, 0, half);
+  if (order_.size() < bodies.size()) {
+    // Coincident-point merges left some bodies out of the leaves.
+    std::vector<bool> in_leaf(bodies.size(), false);
+    for (const int b : order_) in_leaf[static_cast<std::size_t>(b)] = true;
+    for (int i = 0; i < static_cast<int>(bodies.size()); ++i) {
+      if (!in_leaf[static_cast<std::size_t>(i)]) order_.push_back(i);
+    }
+  }
 }
 
-void Octree::insert(const std::vector<Body>& bodies, int node, int body,
-                    int depth) {
+void Octree::insert(const std::vector<Body>& bodies, int node,
+                    const Vec3& center, double half, int body, int depth) {
   constexpr int kMaxDepth = 64;
   Node& n = nodes_[node];
   if (n.count == 0) {
@@ -57,28 +67,21 @@ void Octree::insert(const std::vector<Body>& bodies, int node, int body,
   n.body = -1;
   n.count++;
 
-  auto child_of = [&](const Vec3& p) {
-    const Node& nn = nodes_[node];
-    const int oct = (p.x >= nn.center.x ? 1 : 0) |
-                    (p.y >= nn.center.y ? 2 : 0) |
-                    (p.z >= nn.center.z ? 4 : 0);
+  const double h = half / 2;
+  auto push_down = [&](int b) {
+    const Vec3& p = bodies[static_cast<std::size_t>(b)].pos;
+    const int oct = (p.x >= center.x ? 1 : 0) | (p.y >= center.y ? 2 : 0) |
+                    (p.z >= center.z ? 4 : 0);
     if (nodes_[node].child[oct] < 0) {
-      const double h = nn.half / 2;
-      const Vec3 c{nn.center.x + (oct & 1 ? h : -h),
-                   nn.center.y + (oct & 2 ? h : -h),
-                   nn.center.z + (oct & 4 ? h : -h)};
-      const int idx = make_node(c, h);  // may reallocate nodes_
+      const int idx = make_node();  // may reallocate nodes_
       nodes_[node].child[oct] = idx;
     }
-    return nodes_[node].child[oct];
+    const Vec3 c{center.x + (oct & 1 ? h : -h), center.y + (oct & 2 ? h : -h),
+                 center.z + (oct & 4 ? h : -h)};
+    insert(bodies, nodes_[node].child[oct], c, h, b, depth + 1);
   };
-
-  if (resident >= 0) {
-    const int c = child_of(bodies[resident].pos);
-    insert(bodies, c, resident, depth + 1);
-  }
-  const int c = child_of(bodies[body].pos);
-  insert(bodies, c, body, depth + 1);
+  if (resident >= 0) push_down(resident);
+  push_down(body);
 }
 
 void Octree::finalize(const std::vector<Body>& bodies, int node) {
@@ -102,49 +105,83 @@ void Octree::finalize(const std::vector<Body>& bodies, int node) {
   if (n.mass > 0) n.com = n.com * (1.0 / n.mass);
 }
 
-Vec3 Octree::acceleration(const std::vector<Body>& bodies, int i,
-                          double theta, double softening,
-                          std::uint64_t& interactions,
-                          std::vector<int>& stack) const {
-  const Vec3 pi = bodies[i].pos;
-  Vec3 acc;
-  // Explicit stack traversal.
-  stack.clear();
-  stack.push_back(0);
+void Octree::flatten(const std::vector<Body>& bodies, int node,
+                     double half) {
+  const Node& n = nodes_[node];
+  const auto k = walk_.size();
+  if (n.body >= 0) {
+    // The walk weighs a leaf by its one body, not by the mass x count a
+    // coincident-point merge leaves on the node.
+    walk_.push_back({n.com, bodies[static_cast<std::size_t>(n.body)].mass, 0,
+                     n.body, static_cast<int>(k + 1)});
+    order_.push_back(n.body);
+    return;
+  }
+  const double cell = 2.0 * half;
+  walk_.push_back({n.com, n.mass, cell * cell, -1, 0});
+  for (int oct = 7; oct >= 0; --oct) {
+    if (n.child[oct] >= 0) flatten(bodies, n.child[oct], half / 2);
+  }
+  walk_[k].skip = static_cast<int>(walk_.size());
+}
+
+std::uint64_t Octree::accelerations(std::vector<Body>& bodies, double theta,
+                                    double softening,
+                                    util::ForkJoinBoard* board) const {
+  if (board == nullptr) {
+    return walk(bodies, 0, order_.size(), theta, softening);
+  }
+  // Blocks of neighbouring bodies, about 2 ms each at paper scale, so a
+  // helper that turns up late still finds work.
+  constexpr std::size_t kBlockBodies = 256;
+  const std::size_t blocks = (order_.size() + kBlockBodies - 1) / kBlockBodies;
+  std::vector<std::uint64_t> counts(blocks, 0);
+  board->run(blocks, [&](std::size_t b) {
+    const std::size_t begin = b * kBlockBodies;
+    counts[b] = walk(bodies, begin,
+                     std::min(begin + kBlockBodies, order_.size()), theta,
+                     softening);
+  });
+  std::uint64_t interactions = 0;
+  for (const std::uint64_t c : counts) interactions += c;
+  return interactions;
+}
+
+std::uint64_t Octree::walk(std::vector<Body>& bodies, std::size_t begin,
+                           std::size_t end, double theta,
+                           double softening) const {
   const double theta2 = theta * theta;
   const double eps2 = softening * softening;
-  while (!stack.empty()) {
-    const int node = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[node];
-    if (n.count == 0) continue;
-    if (n.body >= 0) {
-      if (n.body == i) continue;
-      const Vec3 d = bodies[n.body].pos - pi;
-      const double r2 = d.norm2() + eps2;
-      const double inv_r = 1.0 / std::sqrt(r2);
-      const double f = bodies[n.body].mass * inv_r * inv_r * inv_r;
-      acc += d * f;
-      ++interactions;
-      continue;
-    }
-    const Vec3 d = n.com - pi;
-    const double r2 = d.norm2();
-    const double cell = 2.0 * n.half;
-    if (cell * cell < theta2 * r2) {
-      // Far enough: interact with the cell's COM.
-      const double rr2 = r2 + eps2;
-      const double inv_r = 1.0 / std::sqrt(rr2);
-      const double f = n.mass * inv_r * inv_r * inv_r;
-      acc += d * f;
-      ++interactions;
-    } else {
-      for (const int c : n.child) {
-        if (c >= 0) stack.push_back(c);
+  const WalkEntry* const entries = walk_.data();
+  const int size = static_cast<int>(walk_.size());
+  std::uint64_t interactions = 0;
+  for (std::size_t o = begin; o < end; ++o) {
+    const int i = order_[o];
+    Body& bi = bodies[static_cast<std::size_t>(i)];
+    const Vec3 pi = bi.pos;
+    Vec3 acc;
+    int k = 0;
+    while (k < size) {
+      const WalkEntry& e = entries[k];
+      if (e.body == i) {
+        k = e.skip;
+        continue;
+      }
+      const Vec3 d = e.com - pi;
+      const double r2 = d.norm2();
+      if (e.body >= 0 || e.open2 < theta2 * r2) {
+        // A leaf, or a cell far enough away: interact with its COM.
+        const double inv_r = 1.0 / std::sqrt(r2 + eps2);
+        acc += d * (e.mass * inv_r * inv_r * inv_r);
+        ++interactions;
+        k = e.skip;
+      } else {
+        ++k;
       }
     }
+    bi.acc = acc;
   }
-  return acc;
+  return interactions;
 }
 
 NBodySim::NBodySim(int n_bodies, std::uint64_t seed) {
@@ -164,24 +201,19 @@ NBodySim::NBodySim(int n_bodies, std::uint64_t seed) {
   }
 }
 
-void NBodySim::compute_forces(double theta, double softening) {
+void NBodySim::compute_forces(double theta, double softening,
+                              util::ForkJoinBoard* board) {
   tree_.build(bodies_);
-  // COM of leaf nodes is the body itself; the traversal reads bodies_
-  // directly for leaves, so only internal nodes needed finalize().
-  std::uint64_t inter = 0;
-  std::vector<int> stack;
-  stack.reserve(256);
-  for (int i = 0; i < static_cast<int>(bodies_.size()); ++i) {
-    bodies_[i].acc =
-        tree_.acceleration(bodies_, i, theta, softening, inter, stack);
-  }
+  const std::uint64_t inter =
+      tree_.accelerations(bodies_, theta, softening, board);
   total_interactions_ += inter;
   last_step_interactions_ = inter;
 }
 
-std::uint64_t NBodySim::step(double dt, double theta, double softening) {
+std::uint64_t NBodySim::step(double dt, double theta, double softening,
+                             util::ForkJoinBoard* board) {
   if (first_step_) {
-    compute_forces(theta, softening);
+    compute_forces(theta, softening, board);
     first_step_ = false;
   }
   // KDK leapfrog.
@@ -189,7 +221,7 @@ std::uint64_t NBodySim::step(double dt, double theta, double softening) {
     b.vel += b.acc * (dt / 2);
     b.pos += b.vel * dt;
   }
-  compute_forces(theta, softening);
+  compute_forces(theta, softening, board);
   for (auto& b : bodies_) {
     b.vel += b.acc * (dt / 2);
   }

@@ -4,9 +4,10 @@
 
 namespace ess::core {
 
-template <typename Key, typename Profile>
+template <typename Key, typename Profile, typename Compute>
 std::shared_future<Profile> PhaseAStore::claim(Entries<Key, Profile>& entries,
-                                               const Key& key) {
+                                               const Key& key,
+                                               Compute compute) {
   std::promise<Profile> promise;
   std::shared_future<Profile> future;
   {
@@ -18,29 +19,30 @@ std::shared_future<Profile> PhaseAStore::claim(Entries<Key, Profile>& entries,
     entries.emplace_back(key, future);
     ++computations_;
   }
-  // Outside the lock, so claims of other keys go ahead meanwhile. The
-  // numerics are found by argument-dependent lookup in the key's app.
+  // Outside the lock, so claims of other keys go ahead meanwhile.
   try {
-    promise.set_value(numerics(key));
+    promise.set_value(compute());
   } catch (...) {
     promise.set_exception(std::current_exception());
   }
+  board_.wake();  // await() callers check their futures again
   return future;
 }
 
 std::shared_future<apps::ppm::PpmProfile> PhaseAStore::ppm(
     const apps::ppm::PpmNumerics& key) {
-  return claim(ppm_, key);
+  return claim(ppm_, key, [&] { return apps::ppm::numerics(key); });
 }
 
 std::shared_future<apps::wavelet::WaveletProfile> PhaseAStore::wavelet(
     const apps::wavelet::WaveletNumerics& key) {
-  return claim(wavelet_, key);
+  return claim(wavelet_, key, [&] { return apps::wavelet::numerics(key); });
 }
 
 std::shared_future<apps::nbody::NBodyProfile> PhaseAStore::nbody(
     const apps::nbody::NBodyNumerics& key) {
-  return claim(nbody_, key);
+  return claim(nbody_, key,
+               [&] { return apps::nbody::numerics(key, &board_); });
 }
 
 std::size_t PhaseAStore::computations() const {

@@ -7,8 +7,13 @@
 // as long as the batch that created it — one exec::run_jobs call or one
 // cluster::Cluster run — and is never global, so repeated batches start
 // cold.
+//
+// N-body numerics post each force pass on the store's fork-join board, and
+// a Study that waits for a profile works those blocks meanwhile (await),
+// so the N-body run spreads over the batch's own blocked threads.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <future>
 #include <mutex>
@@ -18,6 +23,7 @@
 #include "apps/nbody/nbody_app.hpp"
 #include "apps/ppm/ppm_app.hpp"
 #include "apps/wavelet/wavelet_app.hpp"
+#include "util/fork_join.hpp"
 
 namespace ess::core {
 
@@ -34,6 +40,15 @@ class PhaseAStore {
   std::shared_future<apps::nbody::NBodyProfile> nbody(
       const apps::nbody::NBodyNumerics& key);
 
+  /// f.get(), working the board's posted blocks while f is not ready.
+  template <typename Profile>
+  const Profile& await(const std::shared_future<Profile>& f) {
+    board_.help_until([&f] {
+      return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    });
+    return f.get();
+  }
+
   /// Numerics runs started so far: one per distinct key.
   std::size_t computations() const;
 
@@ -43,9 +58,10 @@ class PhaseAStore {
   template <typename Key, typename Profile>
   using Entries = std::vector<std::pair<Key, std::shared_future<Profile>>>;
 
-  template <typename Key, typename Profile>
+  /// The future for `key`, running compute() first when it is new.
+  template <typename Key, typename Profile, typename Compute>
   std::shared_future<Profile> claim(Entries<Key, Profile>& entries,
-                                    const Key& key);
+                                    const Key& key, Compute compute);
 
   mutable std::mutex mu_;
   Entries<apps::ppm::PpmNumerics, apps::ppm::PpmProfile> ppm_;
@@ -53,6 +69,7 @@ class PhaseAStore {
       wavelet_;
   Entries<apps::nbody::NBodyNumerics, apps::nbody::NBodyProfile> nbody_;
   std::size_t computations_ = 0;
+  util::ForkJoinBoard board_;
 };
 
 }  // namespace ess::core

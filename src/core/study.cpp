@@ -86,17 +86,18 @@ const Artifacts& Study::artifacts(AppKind last) {
   if (!rng_) rng_.emplace(cfg_.seed);
   const double mflops = cfg_.node.cpu_mflops;
   if (assembled_ < 1) {
-    artifacts_.ppm = apps::ppm::assemble(cfg_.ppm, ppm.get(), mflops, *rng_);
+    artifacts_.ppm =
+        apps::ppm::assemble(cfg_.ppm, store_->await(ppm), mflops, *rng_);
     assembled_ = 1;
   }
   if (want > 1 && assembled_ < 2) {
-    artifacts_.wavelet =
-        apps::wavelet::assemble(cfg_.wavelet, wavelet.get(), mflops, *rng_);
+    artifacts_.wavelet = apps::wavelet::assemble(
+        cfg_.wavelet, store_->await(wavelet), mflops, *rng_);
     assembled_ = 2;
   }
   if (want > 2) {
-    artifacts_.nbody =
-        apps::nbody::assemble(cfg_.nbody, nbody.get(), mflops, *rng_);
+    artifacts_.nbody = apps::nbody::assemble(cfg_.nbody, store_->await(nbody),
+                                             mflops, *rng_);
     assembled_ = 3;
   }
   return artifacts_;

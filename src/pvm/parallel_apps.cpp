@@ -87,10 +87,8 @@ std::vector<OpTrace> parallel_ppm(const apps::ppm::PpmConfig& cfg, int ranks,
 std::vector<OpTrace> parallel_nbody(const apps::nbody::NBodyConfig& cfg,
                                     int ranks, double cpu_mflops, Rng& rng) {
   // One real run for the interaction counts.
-  apps::nbody::NBodySim sim(cfg.bodies, cfg.seed);
   std::vector<double> step_flops;
-  for (int s = 0; s < cfg.steps; ++s) {
-    const auto inter = sim.step(cfg.dt, cfg.theta, cfg.softening);
+  for (const auto inter : apps::nbody::numerics(cfg).step_interactions) {
     step_flops.push_back(static_cast<double>(inter) *
                              cfg.flops_per_interaction +
                          static_cast<double>(cfg.bodies) * 60.0 * 13.0);
@@ -110,8 +108,8 @@ std::vector<OpTrace> parallel_nbody(const apps::nbody::NBodyConfig& cfg,
         static_cast<std::uint64_t>(cfg.bodies) * sizeof(apps::nbody::Body);
     // Every rank holds all positions (for the tree) but only its slice of
     // full body state; the tree arena is built over all bodies.
-    const std::uint64_t tree_bytes = std::uint64_t{2} * cfg.bodies *
-                                     sizeof(apps::nbody::Octree::Node);
+    const std::uint64_t tree_bytes =
+        std::uint64_t{2} * cfg.bodies * apps::nbody::kModelTreeNodeBytes;
     const std::uint64_t anon =
         body_bytes + tree_bytes + cfg.heap_slack_bytes + 512 * 1024;
     b.set_anon_bytes(anon);

@@ -46,7 +46,7 @@ OpTraceBuilder& OpTraceBuilder::compute(SimTime duration) {
         return *this;
       }
     }
-    trace_.ops.push_back(ComputeOp{duration});
+    trace_.ops.emplace_back(std::in_place_type<ComputeOp>, duration);
   }
   return *this;
 }
@@ -55,7 +55,7 @@ OpTraceBuilder& OpTraceBuilder::read(FileRef f, std::uint64_t offset,
                                      std::uint64_t len) {
   close_touch();
   if (f >= trace_.files.size()) throw std::out_of_range("bad FileRef");
-  trace_.ops.push_back(ReadOp{f, offset, len});
+  trace_.ops.emplace_back(std::in_place_type<ReadOp>, f, offset, len);
   return *this;
 }
 
@@ -63,7 +63,7 @@ OpTraceBuilder& OpTraceBuilder::write(FileRef f, std::uint64_t offset,
                                       std::uint64_t len) {
   close_touch();
   if (f >= trace_.files.size()) throw std::out_of_range("bad FileRef");
-  trace_.ops.push_back(WriteOp{f, offset, len});
+  trace_.ops.emplace_back(std::in_place_type<WriteOp>, f, offset, len);
   return *this;
 }
 
@@ -74,38 +74,38 @@ OpTraceBuilder& OpTraceBuilder::append(FileRef f, std::uint64_t len) {
 OpTraceBuilder& OpTraceBuilder::scratch_create(const std::string& path,
                                                std::uint64_t bytes) {
   close_touch();
-  trace_.ops.push_back(ScratchCreateOp{path, bytes});
+  trace_.ops.emplace_back(std::in_place_type<ScratchCreateOp>, path, bytes);
   return *this;
 }
 
 OpTraceBuilder& OpTraceBuilder::unlink(const std::string& path) {
   close_touch();
-  trace_.ops.push_back(UnlinkOp{path});
+  trace_.ops.emplace_back(std::in_place_type<UnlinkOp>, path);
   return *this;
 }
 
 OpTraceBuilder& OpTraceBuilder::send(int dst_rank, std::uint64_t bytes,
                                      int tag) {
   close_touch();
-  trace_.ops.push_back(SendOp{dst_rank, bytes, tag});
+  trace_.ops.emplace_back(std::in_place_type<SendOp>, dst_rank, bytes, tag);
   return *this;
 }
 
 OpTraceBuilder& OpTraceBuilder::recv(int src_rank, int tag) {
   close_touch();
-  trace_.ops.push_back(RecvOp{src_rank, tag});
+  trace_.ops.emplace_back(std::in_place_type<RecvOp>, src_rank, tag);
   return *this;
 }
 
 OpTraceBuilder& OpTraceBuilder::barrier(int participants, int group) {
   close_touch();
-  trace_.ops.push_back(BarrierOp{group, participants});
+  trace_.ops.emplace_back(std::in_place_type<BarrierOp>, group, participants);
   return *this;
 }
 
 TouchOp& OpTraceBuilder::current_touch() {
   if (!touch_open_) {
-    trace_.ops.push_back(TouchOp{});
+    trace_.ops.emplace_back(std::in_place_type<TouchOp>);
     touch_open_ = true;
   }
   return std::get<TouchOp>(trace_.ops.back());

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace ess::apps::nbody {
@@ -41,15 +42,13 @@ TEST(Octree, NodeCountBounded) {
 }
 
 TEST(Octree, ThetaZeroMatchesDirectSummation) {
-  // With theta = 0 no cell is ever accepted: the traversal enumerates
-  // every other body exactly, so the result equals the O(N^2) sum.
-  const auto bodies = plummer(64, 4);
+  // With theta = 0 no cell is ever accepted: the walk enumerates every
+  // other body exactly, so the result equals the O(N^2) sum.
+  auto bodies = plummer(64, 4);
   Octree tree;
   tree.build(bodies);
-  std::uint64_t inter = 0;
-  std::vector<int> stack;
+  const std::uint64_t inter = tree.accelerations(bodies, 0.0, 0.05);
   for (int i = 0; i < 64; ++i) {
-    const Vec3 a = tree.acceleration(bodies, i, 0.0, 0.05, inter, stack);
     Vec3 direct;
     for (int j = 0; j < 64; ++j) {
       if (j == i) continue;
@@ -60,6 +59,7 @@ TEST(Octree, ThetaZeroMatchesDirectSummation) {
       direct += d * (bodies[static_cast<std::size_t>(j)].mass * inv_r *
                      inv_r * inv_r);
     }
+    const Vec3 a = bodies[static_cast<std::size_t>(i)].acc;
     EXPECT_NEAR(a.x, direct.x, 1e-9);
     EXPECT_NEAR(a.y, direct.y, 1e-9);
     EXPECT_NEAR(a.z, direct.z, 1e-9);
@@ -68,16 +68,11 @@ TEST(Octree, ThetaZeroMatchesDirectSummation) {
 }
 
 TEST(Octree, LargerThetaEvaluatesFewerInteractions) {
-  const auto bodies = plummer(2048, 5);
+  auto bodies = plummer(2048, 5);
   Octree tree;
   tree.build(bodies);
-  std::vector<int> stack;
   auto count = [&](double theta) {
-    std::uint64_t inter = 0;
-    for (int i = 0; i < 2048; ++i) {
-      tree.acceleration(bodies, i, theta, 0.05, inter, stack);
-    }
-    return inter;
+    return tree.accelerations(bodies, theta, 0.05);
   };
   const auto exact = count(0.0);
   const auto coarse = count(0.8);
@@ -87,20 +82,63 @@ TEST(Octree, LargerThetaEvaluatesFewerInteractions) {
 }
 
 TEST(Octree, ApproximationErrorSmallForModestTheta) {
-  const auto bodies = plummer(512, 6);
+  auto approx = plummer(512, 6);
+  auto exact = approx;
   Octree tree;
-  tree.build(bodies);
-  std::uint64_t inter = 0;
-  std::vector<int> stack;
+  tree.build(approx);
+  tree.accelerations(approx, 0.5, 0.05);
+  tree.accelerations(exact, 0.0, 0.05);
   double max_rel = 0;
-  for (int i = 0; i < 512; ++i) {
-    const Vec3 approx = tree.acceleration(bodies, i, 0.5, 0.05, inter, stack);
-    const Vec3 exact = tree.acceleration(bodies, i, 0.0, 0.05, inter, stack);
-    const double diff = std::sqrt((approx - exact).norm2());
-    const double norm = std::sqrt(exact.norm2()) + 1e-12;
+  for (std::size_t i = 0; i < approx.size(); ++i) {
+    const double diff = std::sqrt((approx[i].acc - exact[i].acc).norm2());
+    const double norm = std::sqrt(exact[i].acc.norm2()) + 1e-12;
     max_rel = std::max(max_rel, diff / norm);
   }
   EXPECT_LT(max_rel, 0.15);  // theta=0.5 keeps force errors modest
+}
+
+TEST(Octree, CoincidentBodiesAllGetAnAcceleration) {
+  // Five bodies at one point can never be separated: insertion merges
+  // them at the depth limit into one leaf, which holds only one of them.
+  // The walk must still set every body's acc.
+  auto bodies = plummer(200, 11);
+  const Vec3 spot{0.25, -0.5, 0.75};
+  for (std::size_t i = 10; i < 15; ++i) bodies[i].pos = spot;
+  const double nan = std::nan("");
+  for (auto& b : bodies) b.acc = Vec3{nan, nan, nan};
+  Octree tree;
+  tree.build(bodies);
+  EXPECT_EQ(tree.root().count, 200);
+  const std::uint64_t inter = tree.accelerations(bodies, 0.6, 0.05);
+  EXPECT_GT(inter, 0u);
+  for (const auto& b : bodies) {
+    EXPECT_TRUE(std::isfinite(b.acc.x) && std::isfinite(b.acc.y) &&
+                std::isfinite(b.acc.z));
+    EXPECT_GT(b.acc.norm2(), 0.0);
+  }
+  // The coincident bodies see the same cells from the same point.
+  for (std::size_t i = 11; i < 15; ++i) {
+    EXPECT_EQ(bodies[i].acc.x, bodies[10].acc.x);
+    EXPECT_EQ(bodies[i].acc.y, bodies[10].acc.y);
+    EXPECT_EQ(bodies[i].acc.z, bodies[10].acc.z);
+  }
+}
+
+TEST(Octree, BoardMakesNoDifference) {
+  // Posted in blocks (here all run by the caller), the pass sets the same
+  // bits and counts the same interactions as one walk.
+  auto walked = plummer(1000, 12);
+  auto posted = walked;
+  Octree tree;
+  tree.build(walked);
+  util::ForkJoinBoard board;
+  EXPECT_EQ(tree.accelerations(walked, 0.6, 0.05),
+            tree.accelerations(posted, 0.6, 0.05, &board));
+  for (std::size_t i = 0; i < walked.size(); ++i) {
+    EXPECT_EQ(walked[i].acc.x, posted[i].acc.x);
+    EXPECT_EQ(walked[i].acc.y, posted[i].acc.y);
+    EXPECT_EQ(walked[i].acc.z, posted[i].acc.z);
+  }
 }
 
 TEST(NBodySim, MomentumApproximatelyConserved) {
@@ -143,6 +181,18 @@ TEST(NBodyApp, TraceHasCheckpointsAndFinalSnapshot) {
   // 2 checkpoints of 2 KB + the final 16 KB snapshot.
   EXPECT_EQ(t.total_write_bytes(), 2u * 2048 + 16 * 1024);
   EXPECT_EQ(t.total_read_bytes(), 0u);  // a simulation with no input data
+}
+
+TEST(NBodyApp, ModelledHeapIsPinned) {
+  // Two body arrays of 80 B bodies, two tree arenas of 2 x 104 B per body,
+  // and the heap slack: the footprint the traces and goldens were made
+  // with, whatever the tree code's own node layout.
+  const NBodyConfig cfg;
+  Rng rng(1);
+  const auto result = assemble(cfg, NBodyProfile{}, 25.0, rng);
+  EXPECT_EQ(result.trace.anon_bytes, 2u * 8192 * 80 + 2u * 2 * 8192 * 104 +
+                                         2u * 1024 * 1024);
+  EXPECT_EQ(result.trace.anon_bytes, 6'815'744u);
 }
 
 TEST(NBodyApp, DefaultConfigMatchesPaperScale) {

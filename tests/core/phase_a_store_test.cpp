@@ -29,6 +29,28 @@ TEST(PhaseAStore, EightThreadsAskingForOneKeyComputeItOnce) {
   EXPECT_GT(seen.front()->total_interactions, 0u);
 }
 
+TEST(PhaseAStore, WaitersHelpTheNBodyRunAndGetItsProfile) {
+  // Threads that find the run started work its force blocks in await();
+  // the profile is the one a lone run computes, bit for bit.
+  apps::nbody::NBodyNumerics key;
+  key.bodies = 2048;
+  key.steps = 6;
+  const auto alone = apps::nbody::numerics(key);
+  PhaseAStore store;
+  std::vector<const apps::nbody::NBodyProfile*> seen(3);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back(
+        [&, i] { seen[i] = &store.await(store.nbody(key)); });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(store.computations(), 1u);
+  for (const auto* p : seen) EXPECT_EQ(p, seen.front());
+  EXPECT_EQ(seen.front()->step_interactions, alone.step_interactions);
+  EXPECT_EQ(seen.front()->final_kinetic, alone.final_kinetic);
+  EXPECT_EQ(seen.front()->momentum_drift, alone.momentum_drift);
+}
+
 TEST(PhaseAStore, KeysFollowTheNumericsConfigOnly) {
   const StudyConfig a = fast_study_config();
   PhaseAStore store;

@@ -113,6 +113,27 @@ TEST(ParallelApps, MachineRunsParallelNBodyLockstep) {
   EXPECT_LT(hi - lo, sec(30));
 }
 
+TEST(ParallelApps, NBodyRanksFollowTheSequentialNumerics) {
+  const auto cfg = small_nbody();
+  Rng rng(5);
+  const auto traces = parallel_nbody(cfg, 2, 25.0, rng);
+  // Each step computes the sequential run's interactions, in six slices.
+  SimTime expect = 0;
+  for (const auto inter : apps::nbody::numerics(cfg).step_interactions) {
+    const double flops = static_cast<double>(inter) *
+                             cfg.flops_per_interaction +
+                         static_cast<double>(cfg.bodies) * 60.0 * 13.0;
+    expect += 6 * (static_cast<SimTime>(flops / 25.0) / 6);
+  }
+  for (const auto& t : traces) {
+    EXPECT_EQ(t.total_compute(), expect);
+    // Bodies (80 B), one tree arena of 2 x 104 B per body, heap slack and
+    // the allgather buffers: the footprint the traces were made with.
+    EXPECT_EQ(t.anon_bytes, 512u * 80 + 2u * 512 * 104 + 2u * 1024 * 1024 +
+                                512u * 1024);
+  }
+}
+
 TEST(ParallelApps, MachineRunsParallelWaveletScatterGather) {
   Rng rng(4);
   auto traces = parallel_wavelet(small_wavelet(), 3, 25.0, rng);
