@@ -37,7 +37,8 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "bench/pdes_run.hpp"
+#include "core/presets.hpp"
+#include "pdes/combined.hpp"
 
 int main() {
   using namespace ess;
@@ -66,15 +67,14 @@ int main() {
   double serial_wall = 0;
   double wall44 = -1;
   std::uint64_t fused44 = 0;
-  bench::PdesRunResult ref;
+  pdes::CombinedRun ref;
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const auto [s, j] = sweep[i];
-    auto r = bench::pdes_run_combined(nodes, s, j, scfg);
+    auto r = pdes::run_combined(nodes, s, j, scfg);
     all_completed &= r.completed;
     std::uint64_t records = 0;
     for (const auto& t : r.traces) records += t.size();
-    const bool same = i == 0 || bench::pdes_traces_identical(ref.traces,
-                                                             r.traces);
+    const bool same = i == 0 || pdes::traces_identical(ref.traces, r.traces);
     all_identical &= same;
     char vs[32];
     if (i == 0) {

@@ -32,7 +32,8 @@
 #include "analysis/characterize.hpp"
 #include "analysis/parallel.hpp"
 #include "bench/common.hpp"
-#include "bench/pdes_run.hpp"
+#include "core/presets.hpp"
+#include "pdes/combined.hpp"
 #include "telemetry/esst.hpp"
 #include "trace/trace_set.hpp"
 #include "util/rng.hpp"
@@ -256,7 +257,7 @@ std::vector<PdesRow> pdes_scaling_bench() {
   std::vector<trace::TraceSet> serial_ref;
   double serial_wall = 0;  // cells are ordered serial-first per node count
   for (const auto& c : cells) {
-    auto r = bench::pdes_run_combined(c.nodes, c.shards, c.jobs, scfg);
+    auto r = pdes::run_combined(c.nodes, c.shards, c.jobs, scfg);
     PdesRow row;
     row.nodes = c.nodes;
     row.shards = c.shards;
@@ -272,7 +273,7 @@ std::vector<PdesRow> pdes_scaling_bench() {
       serial_wall = r.wall_seconds;
     } else {
       row.identical_to_serial =
-          bench::pdes_traces_identical(serial_ref, r.traces);
+          pdes::traces_identical(serial_ref, r.traces);
       if (r.wall_seconds > 0) {
         row.speedup_vs_serial = serial_wall / r.wall_seconds;
       }

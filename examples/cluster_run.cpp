@@ -8,33 +8,41 @@
 #include <cstdlib>
 
 #include "analysis/report.hpp"
-#include "cluster/cluster.hpp"
 #include "cluster/pious.hpp"
+#include "exec/experiments.hpp"
 
 int main(int argc, char** argv) {
   using namespace ess;
   const int nodes = argc > 1 ? std::atoi(argv[1]) : 4;
 
-  cluster::ClusterConfig cfg;
-  cfg.nodes = nodes;
+  core::StudyConfig study;
   // Keep the per-node study at full application scale but trim the
   // baseline (the combined run is the interesting part here).
-  cfg.study.baseline_duration = sec(300);
+  study.baseline_duration = sec(300);
 
   std::printf("Running the combined experiment on %d nodes...\n", nodes);
-  cluster::Cluster cluster(cfg);
-  const auto result = cluster.run_combined();
+  const auto runs = exec::run_jobs(
+      exec::cluster_jobs(nodes, study, exec::Experiment::kCombined),
+      /*workers=*/0);
+  std::vector<analysis::TraceSummary> summaries;
+  trace::TraceSet merged("Combined", -1);  // node -1: the whole cluster
+  for (const auto& r : runs) {
+    summaries.push_back(analysis::summarize(r.run.trace));
+    merged.merge(r.run.trace);
+  }
+  auto average = analysis::average_summaries(summaries);
+  average.experiment = "Combined";
 
   std::printf("\nPer-disk average (combined load):\n");
-  std::printf("%s\n", analysis::render_table1({result.average}).c_str());
+  std::printf("%s\n", analysis::render_table1({average}).c_str());
 
   std::printf("Per-node request totals: ");
-  for (const auto& t : result.node_traces) std::printf("%zu ", t.size());
+  for (const auto& r : runs) std::printf("%zu ", r.run.trace.size());
   std::printf("\n\n");
 
   std::printf("%s\n",
               analysis::render_spatial_figure(
-                  result.merged, "Cluster-wide spatial locality (all disks)")
+                  merged, "Cluster-wide spatial locality (all disks)")
                   .c_str());
 
   // The coordinated-I/O path: a 4-server PIOUS-lite file service.

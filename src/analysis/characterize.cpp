@@ -191,4 +191,39 @@ TraceSummary summarize(const trace::TraceSet& ts) {
   return s;
 }
 
+TraceSummary average_summaries(const std::vector<TraceSummary>& xs) {
+  TraceSummary avg;
+  if (xs.empty()) return avg;
+  avg.experiment = xs.front().experiment;
+  const double n = static_cast<double>(xs.size());
+  double total = 0;
+  for (const auto& s : xs) {
+    avg.mix.reads += s.mix.reads;
+    avg.mix.writes += s.mix.writes;
+    avg.mix.requests_per_sec += s.mix.requests_per_sec / n;
+    total += static_cast<double>(s.mix.total) / n;
+    avg.pct_1k += s.pct_1k / n;
+    avg.pct_2k += s.pct_2k / n;
+    avg.pct_4k += s.pct_4k / n;
+    avg.pct_ge_8k += s.pct_ge_8k / n;
+    avg.pct_ge_16k += s.pct_ge_16k / n;
+    avg.max_request_bytes = std::max(avg.max_request_bytes,
+                                     s.max_request_bytes);
+    avg.duration_sec += s.duration_sec / n;
+  }
+  avg.mix.total = static_cast<std::uint64_t>(total);
+  const auto rw = avg.mix.reads + avg.mix.writes;
+  if (rw > 0) {
+    avg.mix.read_pct =
+        100.0 * static_cast<double>(avg.mix.reads) / static_cast<double>(rw);
+    avg.mix.write_pct = 100.0 - avg.mix.read_pct;
+  }
+  // reads/writes were summed across nodes; scale to per-disk means.
+  avg.mix.reads = static_cast<std::uint64_t>(
+      static_cast<double>(avg.mix.reads) / n);
+  avg.mix.writes = static_cast<std::uint64_t>(
+      static_cast<double>(avg.mix.writes) / n);
+  return avg;
+}
+
 }  // namespace ess::analysis

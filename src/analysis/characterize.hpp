@@ -110,4 +110,10 @@ struct TraceSummary {
 };
 TraceSummary summarize(const trace::TraceSet& ts);
 
+/// Mean of per-node summaries, as Table 1 averages per disk: request
+/// counts, rates, size-class percentages and durations are per-node
+/// means, the read/write split comes from the summed counts, and the
+/// largest request is the maximum over nodes.
+TraceSummary average_summaries(const std::vector<TraceSummary>& xs);
+
 }  // namespace ess::analysis

@@ -550,7 +550,7 @@ MergeResult merge_esst(const std::vector<std::string>& inputs,
 
   // The merged file: format v2 (every record carries its node), header
   // metadata from the first input, node id -1 = "the cluster" (the same
-  // convention cluster::Cluster uses for its merged TraceSet).
+  // convention a merged multi-node TraceSet uses).
   telemetry::EsstMeta meta = cursors.front().meta();
   meta.node_id = -1;
   meta.multi_node = true;

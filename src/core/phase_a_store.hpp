@@ -4,9 +4,9 @@
 // app's numerics config, so every Study of a batch that runs the same code
 // at the same size can share one profile; only trace assembly, which draws
 // from the Study's own Rng and CPU model, stays per Study. The store lives
-// as long as the batch that created it — one exec::run_jobs call or one
-// cluster::Cluster run — and is never global, so repeated batches start
-// cold.
+// as long as the batch that created it — one exec::run_jobs call, such as
+// the per-node jobs of one cluster run — and is never global, so repeated
+// batches start cold.
 //
 // N-body numerics post each force pass on the store's fork-join board, and
 // a Study that waits for a profile works those blocks meanwhile (await),

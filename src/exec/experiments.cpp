@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "cluster/ethernet.hpp"
 #include "exec/runner.hpp"
 #include "telemetry/esst.hpp"
 
@@ -56,6 +57,26 @@ core::RunResult run_experiment(core::Study& study, Experiment e) {
       return study.run_combined();
   }
   throw std::logic_error("bad Experiment");
+}
+
+std::vector<JobSpec> cluster_jobs(int nodes, const core::StudyConfig& study,
+                                  Experiment experiment) {
+  const SimTime barrier = cluster::EthernetModel{}.barrier_time(nodes);
+  std::vector<JobSpec> specs;
+  for (int n = 0; n < nodes; ++n) {
+    JobSpec spec;
+    spec.name = "node" + std::to_string(n + 1);
+    spec.config = study;
+    spec.config.seed += static_cast<std::uint64_t>(n) * 0x9e3779b97f4a7c15ULL;
+    spec.config.node.seed = spec.config.seed;
+    // The applications synchronize before computing: the barrier costs
+    // network time, and nodes joining it at slightly different times
+    // shift each node's phase a little. Both fold into the settle gap.
+    spec.config.settle_time += barrier + static_cast<SimTime>(n) * usec(500);
+    spec.experiment = experiment;
+    specs.push_back(std::move(spec));
+  }
+  return specs;
 }
 
 namespace {

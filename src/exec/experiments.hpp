@@ -9,8 +9,9 @@
 // captures, summaries — is bit-identical to a serial loop over the same
 // specs. The jobs of one call share a core::PhaseAStore, so each distinct
 // application config runs its phase-A numerics once per call. The bench
-// harness, the fault-matrix suite, and `esstrace capture-all` all drive
-// their matrices through this.
+// harness, the fault-matrix suite, the per-node cluster runs
+// (cluster_jobs) and `esstrace capture-all` all drive their matrices
+// through this.
 #pragma once
 
 #include <cstddef>
@@ -59,6 +60,16 @@ struct JobOutcome {
   bool esst_failed = false;      // the capture sink latched a write error
   std::string esst_error;
 };
+
+/// One experiment on every node of an N-node cluster, as N independent
+/// jobs (the paper reports per-disk averages over the Beowulf's nodes).
+/// Job n is named "node<n+1>" and runs `experiment` under `study` with
+/// its own jitter: seed += n * 0x9e3779b97f4a7c15 (the node kernel takes
+/// the same seed), and the settle gap grows by the start-up barrier of
+/// `nodes` processes plus n * 500 us of arrival skew. Run through one
+/// run_jobs call, the nodes share one phase A.
+std::vector<JobSpec> cluster_jobs(int nodes, const core::StudyConfig& study,
+                                  Experiment experiment);
 
 /// Run every spec over `workers` pool threads (0 = inline serial; results
 /// and captures are identical either way). Outcomes return in submission

@@ -1,10 +1,8 @@
-// Lookahead-bounded message fabric for the sharded machine.
-//
-// pvm::Fabric serializes every transfer on one shared wire and completes
-// barriers inline in the last entrant's call — both are global state a
-// parallel simulation cannot touch from concurrent shard threads without
-// making the result depend on thread timing. This fabric restates the
-// same primitives in a partition-invariant form:
+// Lookahead-bounded message fabric for the sharded machine: PVM's
+// primitives (async send, blocking tagged or any-source receive, grouped
+// barriers) over the Beowulf's Ethernet, in a form whose results do not
+// depend on how nodes are partitioned over shards or on thread timing —
+// no state is shared between nodes while a window runs:
 //
 //   * Transfers serialize on the *sender's* NIC (per-node busy time), so
 //     the only mutable wire state belongs to the node whose event is
@@ -15,10 +13,9 @@
 //     source node, per-NIC sequence) and injects the deliveries in that
 //     order — the destination engine sees one deterministic stream no
 //     matter how nodes were partitioned.
-//   * Barriers are symmetric: every entrant blocks (the pvm fabric lets
-//     the last one sail through inline), entries are logged per shard,
-//     and a filled group releases everyone at
-//     last_entry + EthernetModel::barrier_time(n).
+//   * Barriers are symmetric: every entrant blocks, including the last,
+//     entries are logged per shard, and a filled group releases everyone
+//     at last_entry + EthernetModel::barrier_time(n).
 //
 // The Ethernet propagation latency is the protocol's lookahead: anything
 // sent during a window [t, t+L) is delivered no earlier than t+L, which
@@ -73,8 +70,8 @@ class WindowFabric final : public kernel::MessageFabric {
  public:
   WindowFabric(cluster::EthernetConfig eth, std::size_t shards);
 
-  /// Declare the number of ranks before any is spawned (same contract as
-  /// pvm::Fabric::set_world_size).
+  /// Declare the number of ranks before any is spawned; world barriers
+  /// (participants 0) complete only when this many ranks have entered.
   void set_world_size(int n);
   int world_size() const { return world_size_; }
 

@@ -48,7 +48,7 @@ Machine::Machine(MachineConfig cfg)
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t shard = i * nshards_ / n;
     kernel::KernelConfig ncfg = cfg.node;
-    ncfg.seed = cfg.node.seed + i * 7919;  // pvm::Machine's per-node jitter
+    ncfg.seed = cfg.node.seed + i * 7919;  // per-node jitter
     if (cfg.tune_node) cfg.tune_node(static_cast<int>(i), ncfg);
     nodes_.push_back(std::make_unique<kernel::NodeKernel>(
         *engines_[shard], ncfg, static_cast<int>(i)));

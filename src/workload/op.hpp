@@ -64,7 +64,7 @@ struct UnlinkOp {
   bool operator==(const UnlinkOp&) const = default;
 };
 
-// ---- message passing (PVM-style), executed via the pvm::Fabric ----
+// ---- message passing (PVM-style), executed via the node's MessageFabric ----
 
 /// Asynchronous send to another rank (pvm_send): the sender pays the pack/
 /// copy cost and continues; delivery time is modelled by the fabric.

@@ -140,5 +140,33 @@ TEST(Summarize, FillsEveryField) {
   EXPECT_DOUBLE_EQ(s.duration_sec, 10.0);
 }
 
+TEST(AverageSummaries, MeansAcrossNodes) {
+  TraceSummary a, b;
+  a.experiment = b.experiment = "X";
+  a.mix.reads = 10;
+  a.mix.writes = 90;
+  a.mix.total = 100;
+  a.mix.requests_per_sec = 1.0;
+  a.pct_1k = 80;
+  a.duration_sec = 100;
+  b.mix.reads = 30;
+  b.mix.writes = 70;
+  b.mix.total = 100;
+  b.mix.requests_per_sec = 3.0;
+  b.pct_1k = 60;
+  b.duration_sec = 100;
+  const auto avg = average_summaries({a, b});
+  EXPECT_EQ(avg.mix.total, 100u);
+  EXPECT_DOUBLE_EQ(avg.mix.requests_per_sec, 2.0);
+  EXPECT_DOUBLE_EQ(avg.mix.read_pct, 20.0);
+  EXPECT_DOUBLE_EQ(avg.pct_1k, 70.0);
+  EXPECT_EQ(avg.mix.reads, 20u);
+}
+
+TEST(AverageSummaries, EmptyIsDefault) {
+  const auto avg = average_summaries({});
+  EXPECT_EQ(avg.mix.total, 0u);
+}
+
 }  // namespace
 }  // namespace ess::analysis

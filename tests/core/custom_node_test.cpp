@@ -2,8 +2,8 @@
 // user takes to model their own machine.
 #include <gtest/gtest.h>
 
+#include "core/presets.hpp"
 #include "core/study.hpp"
-#include "fast_config.hpp"
 #include "kernel/node_kernel.hpp"
 #include "workload/builder.hpp"
 #include "workload/synthetic.hpp"
@@ -13,7 +13,7 @@ namespace {
 
 TEST(CustomNode, BiggerCacheAbsorbsRereads) {
   auto mk = [](std::size_t cache_blocks) {
-    auto cfg = test::fast_study_config();
+    auto cfg = core::fast_study_config();
     cfg.node.buffer_cache_blocks = cache_blocks;
     Study study(cfg);
     // Read a 2 MB file twice; the second pass hits only if it fits.
@@ -44,7 +44,7 @@ TEST(CustomNode, BiggerCacheAbsorbsRereads) {
 
 TEST(CustomNode, SlowerDiskStretchesTheRun) {
   auto run_s = [](double mb_per_s) {
-    auto cfg = test::fast_study_config();
+    auto cfg = core::fast_study_config();
     cfg.node.disk.transfer_mb_per_s = mb_per_s;
     Study study(cfg);
     auto t = workload::sequential_read("reader", "/data/big.bin",
@@ -57,7 +57,7 @@ TEST(CustomNode, SlowerDiskStretchesTheRun) {
 }
 
 TEST(CustomNode, FifoSchedulerIsConfigurable) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   cfg.node.disk_scheduler = disk::SchedulerKind::kFifo;
   Study study(cfg);
   const auto r = study.run_baseline();
@@ -66,7 +66,7 @@ TEST(CustomNode, FifoSchedulerIsConfigurable) {
 
 TEST(CustomNode, CombinedDeterministicForSameSeed) {
   auto run = [] {
-    Study study(test::fast_study_config());
+    Study study(core::fast_study_config());
     return study.run_combined().trace;
   };
   const auto a = run();
@@ -78,7 +78,7 @@ TEST(CustomNode, CombinedDeterministicForSameSeed) {
 }
 
 TEST(CustomNode, TraceLevelVerboseDoublesRecords) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   Study study(cfg);
   // Compare standard vs verbose on the same workload via NodeKernel.
   auto count_records = [&](driver::TraceLevel lvl) {

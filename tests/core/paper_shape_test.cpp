@@ -1,12 +1,12 @@
 // Integration tests asserting the paper's headline findings hold on the
 // simulated system — the "shape" checks of the reproduction, at reduced
-// scale (see fast_config.hpp) so the full suite stays fast. The bench
+// scale (core::fast_study_config) so the full suite stays fast. The bench
 // binaries assert the same properties at full scale.
 #include <gtest/gtest.h>
 
 #include "analysis/characterize.hpp"
+#include "core/presets.hpp"
 #include "core/study.hpp"
-#include "fast_config.hpp"
 
 namespace ess::core {
 namespace {
@@ -14,7 +14,7 @@ namespace {
 class PaperShape : public ::testing::Test {
  protected:
   static Study& study() {
-    static Study s(test::fast_study_config());
+    static Study s(core::fast_study_config());
     return s;
   }
 };

@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "fast_config.hpp"
+#include "core/presets.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ess::core {
 namespace {
 
 TEST(Study, ArtifactsCachedAcrossCalls) {
-  Study study(test::fast_study_config());
+  Study study(core::fast_study_config());
   const auto* first = &study.artifacts();
   const auto* second = &study.artifacts();
   EXPECT_EQ(first, second);
@@ -19,7 +19,7 @@ TEST(Study, ArtifactsCachedAcrossCalls) {
 }
 
 TEST(Study, BaselineIsAllWrites) {
-  Study study(test::fast_study_config());
+  Study study(core::fast_study_config());
   const auto r = study.run_baseline();
   EXPECT_TRUE(r.completed);
   const auto mix = analysis::rw_mix(r.trace);
@@ -29,7 +29,7 @@ TEST(Study, BaselineIsAllWrites) {
 }
 
 TEST(Study, SingleRunsComplete) {
-  Study study(test::fast_study_config());
+  Study study(core::fast_study_config());
   for (const auto kind :
        {AppKind::kPpm, AppKind::kWavelet, AppKind::kNBody}) {
     const auto r = study.run_single(kind);
@@ -39,7 +39,7 @@ TEST(Study, SingleRunsComplete) {
 }
 
 TEST(Study, CombinedUsesEnlargedBuffering) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   cfg.combined_coalesce_blocks = 32;
   Study study(cfg);
   const auto r = study.run_combined();
@@ -52,7 +52,7 @@ TEST(Study, CombinedUsesEnlargedBuffering) {
 }
 
 TEST(Study, DeterministicForSameSeed) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   cfg.baseline_duration = sec(60);
   Study a(cfg), b(cfg);
   const auto ta = a.run_baseline().trace;
@@ -64,7 +64,7 @@ TEST(Study, DeterministicForSameSeed) {
 }
 
 TEST(Study, SeedChangesTrace) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   cfg.baseline_duration = sec(60);
   Study a(cfg);
   cfg.seed = 999;
@@ -76,7 +76,7 @@ TEST(Study, SeedChangesTrace) {
 }
 
 TEST(Study, CustomWorkloadRuns) {
-  Study study(test::fast_study_config());
+  Study study(core::fast_study_config());
   auto synth = workload::sequential_write("logger", "/data/synth.log",
                                           256 * 1024, 8 * 1024, msec(200));
   const auto r = study.run_custom("Synthetic", {std::move(synth)});
@@ -87,7 +87,7 @@ TEST(Study, CustomWorkloadRuns) {
 }
 
 TEST(Study, CustomFixedDurationRun) {
-  Study study(test::fast_study_config());
+  Study study(core::fast_study_config());
   auto synth = workload::sequential_write("logger", "/data/synth.log",
                                           10 * 1024 * 1024, 8 * 1024,
                                           sec(10));
@@ -96,7 +96,7 @@ TEST(Study, CustomFixedDurationRun) {
 }
 
 TEST(Study, Table1HasExpectedRows) {
-  Study study(test::fast_study_config());
+  Study study(core::fast_study_config());
   const auto rows = study.table1(true);
   ASSERT_EQ(rows.size(), 5u);
   EXPECT_EQ(rows[0].experiment, "Baseline");

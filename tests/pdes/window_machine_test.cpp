@@ -1,6 +1,8 @@
-// The PDES layer's core contract: the sharded machine's per-node traces
-// and merged ESST captures are byte-identical at ANY shard count and ANY
-// worker count, including the serial reference (1 shard, inline pool).
+// The multi-node machine: its message-passing primitives (send, tagged and
+// any-source receive, barriers), per-node disks and common clock, and the
+// PDES layer's core contract — per-node traces and merged ESST captures
+// are byte-identical at ANY shard count and ANY worker count, including
+// the serial reference (1 shard, inline pool).
 #include "pdes/machine.hpp"
 
 #include <gtest/gtest.h>
@@ -108,6 +110,98 @@ TEST(WindowMachine, DeadlockThrowsInsteadOfSpinning) {
   m.spawn_rank(0, std::move(a).build(), 0);
   m.spawn_rank(1, std::move(b).build(), 1);
   EXPECT_THROW(m.run_until_all_done(sec(10)), std::logic_error);
+}
+
+// ---- the message-passing contract, at one shard and one per node --------
+// Each case runs on the serial reference (shards = 1) and with every node
+// on its own shard.
+
+TEST(Fabric, MessageTransferTakesWireTime) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    Machine m(machine_cfg(2, shards, 1, quiet_cfg()));
+    m.fabric().set_world_size(2);
+    workload::OpTraceBuilder sender("s"), receiver("r");
+    sender.send(1, 1'000'000, 1);  // 1 MB over ~2.3 MB/s: ~0.45 s
+    receiver.recv(0, 1);
+    m.spawn_rank(0, std::move(sender).build(), 0);
+    m.spawn_rank(1, std::move(receiver).build(), 1);
+    const SimTime t0 = m.now();
+    ASSERT_TRUE(m.run_until_all_done(sec(100))) << "shards=" << shards;
+    const auto& n = m.node(1);
+    const auto& p = n.process(n.pids().front());
+    EXPECT_GT(p.finish_time - t0, msec(300)) << "shards=" << shards;
+  }
+}
+
+TEST(Fabric, AnySourceRecv) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    Machine m(machine_cfg(3, shards, 1, quiet_cfg()));
+    m.fabric().set_world_size(3);
+    workload::OpTraceBuilder a("a"), b("b"), c("c");
+    a.send(2, 64, 1);
+    b.send(2, 64, 1);
+    c.recv(-1, 1);
+    c.recv(-1, 1);
+    m.spawn_rank(0, std::move(a).build(), 0);
+    m.spawn_rank(1, std::move(b).build(), 1);
+    m.spawn_rank(2, std::move(c).build(), 2);
+    EXPECT_TRUE(m.run_until_all_done(sec(100))) << "shards=" << shards;
+    EXPECT_EQ(m.fabric().stats().recvs, 2u) << "shards=" << shards;
+  }
+}
+
+TEST(Fabric, SendToUnknownRankThrows) {
+  Machine m(machine_cfg(1, 1, 1, quiet_cfg()));
+  m.fabric().set_world_size(1);
+  workload::OpTraceBuilder b("bad");
+  b.send(5, 100, 0);
+  // The lone rank starts (and faults) as soon as the world is complete.
+  EXPECT_THROW(m.spawn_rank(0, std::move(b).build(), 0), std::out_of_range);
+}
+
+TEST(Fabric, OpsWithoutFabricThrow) {
+  kernel::NodeKernel node(quiet_cfg());
+  workload::OpTraceBuilder b("lonely");
+  b.recv(0, 0);
+  EXPECT_THROW(node.spawn(std::move(b).build()), std::logic_error);
+}
+
+TEST(Machine, NodesShareOneClock) {
+  // Between public calls every node reads the machine's time, whichever
+  // shard it lives on.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    Machine m(machine_cfg(4, shards, 1, quiet_cfg()));
+    const SimTime t = m.now();
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(m.node(i).now(), t) << "shards=" << shards;
+    }
+    m.run_for(sec(5));
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(m.node(i).now(), t + sec(5)) << "shards=" << shards;
+    }
+  }
+}
+
+TEST(Machine, PerNodeDisksAreIndependent) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    Machine m(machine_cfg(2, shards, 1, quiet_cfg()));
+    m.fabric().set_world_size(2);
+    workload::OpTraceBuilder writer("writer"), idle("idle");
+    const auto f = writer.output_file("/data/out");
+    writer.append(f, 64 * 1024);
+    idle.compute(msec(1));
+    m.ioctl_all(driver::TraceLevel::kStandard);
+    const SimTime t0 = m.now();
+    m.spawn_rank(0, std::move(writer).build(), 0);
+    m.spawn_rank(1, std::move(idle).build(), 1);
+    ASSERT_TRUE(m.run_until_all_done(sec(100))) << "shards=" << shards;
+    m.node(0).fsys().sync();
+    m.run_for(sec(2));
+    auto traces = m.collect("independent", t0);
+    EXPECT_GT(traces[0].size(), 0u) << "shards=" << shards;
+    // Node 1 never touched its disk.
+    EXPECT_EQ(traces[1].size(), 0u) << "shards=" << shards;
+  }
 }
 
 // ---- determinism across partitionings ------------------------------------

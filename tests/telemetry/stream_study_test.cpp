@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "../core/fast_config.hpp"
 #include "analysis/characterize.hpp"
+#include "core/presets.hpp"
 #include "core/study.hpp"
 #include "telemetry/consumers.hpp"
 #include "telemetry/esst.hpp"
@@ -22,7 +22,7 @@ namespace ess::telemetry {
 namespace {
 
 TEST(StreamStudy, LiveSummaryMatchesBatchCharacterizationOnCombined) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   StreamSummary live;
   cfg.live_sink = &live;
   core::Study study(cfg);
@@ -67,7 +67,7 @@ TEST(StreamStudy, LiveSummaryMatchesBatchCharacterizationOnCombined) {
 
 TEST(StreamStudy, DrainSinkCapturesEsstEquivalentToReturnedTrace) {
   const std::string path = ::testing::TempDir() + "/stream_study_drain.esst";
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   EsstMeta meta;
   meta.experiment = "wavelet";
   meta.seed = cfg.seed;
@@ -108,7 +108,7 @@ TEST(StreamStudy, DrainSinkCapturesEsstEquivalentToReturnedTrace) {
 }
 
 TEST(StreamStudy, BaselineEsstAtMostFortyPercentOfCsv) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   core::Study study(cfg);
   const auto res = study.run_baseline();
   ASSERT_GT(res.trace.size(), 0u);
@@ -123,7 +123,7 @@ TEST(StreamStudy, BaselineEsstAtMostFortyPercentOfCsv) {
 }
 
 TEST(StreamStudy, WaveletCsvToEsstToCsvIsByteIdentical) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   core::Study study(cfg);
   const auto res = study.run_single(core::AppKind::kWavelet);
   ASSERT_GT(res.trace.size(), 0u);
@@ -142,7 +142,7 @@ TEST(StreamStudy, WaveletCsvToEsstToCsvIsByteIdentical) {
 }
 
 TEST(StreamStudy, SnapshotEmitterReportsProgressDuringARun) {
-  auto cfg = test::fast_study_config();
+  auto cfg = core::fast_study_config();
   StreamSummary live;
   std::vector<Snapshot> seen;
   SnapshotEmitter emitter(live, sec(10),
